@@ -58,6 +58,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test (perfbench: the repository benchmark's own tests)"
+# perfbench is a workspace of its own, so `cargo test --workspace` never
+# reaches it; its oracle test checks a live serve_listener transcript,
+# including the order in which served matches are written.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (simd feature: explicit SIMD kernel paths)"
 cargo test -q -p spring-core -p spring-testkit --features simd
 

@@ -1,9 +1,18 @@
-//! Throughput of the STWM column kernel: the two-phase SoA kernel
-//! (`Spring::step_batch` / `Stwm::step`) against the branchy scalar
-//! reference loop (`Spring::step_reference`), at the issue's anchor
-//! points m ∈ {64, 256} with 64-sample frames. The `soa_vs_ref` group
-//! reports the speedup directly; the `kernel_throughput` group feeds
-//! the CI smoke baseline (elements/s = query cells per second).
+//! Throughput of the STWM kernels at m ∈ {64, 256, 1024}, in query
+//! cells per second over 64-sample frames:
+//!
+//! * `soa_batch64` — `Spring::step_batch`, the wavefront frame kernel
+//!   (the production framed path);
+//! * `column` — `Spring::step` once per sample, the two-phase SoA
+//!   column kernel (the per-sample path);
+//! * `soa_batch1` — `Spring::step_batch` on one-sample frames, which
+//!   routes to the column kernel (narrow chunks cannot amortize a
+//!   wavefront frame, see `kernel::WAVEFRONT_MIN_COLS`); it must track
+//!   `column`, and the bench-compare gate keeps it there;
+//! * `reference` — the branchy scalar reference loop
+//!   (`Spring::step_reference`), the pre-SoA baseline.
+//!
+//! The summary lines report the wavefront's speedup over both.
 //!
 //! Build with `--features simd` to measure the explicit `core::arch`
 //! min-select instead of the portable chunked lanes. All three paths
@@ -48,6 +57,40 @@ fn bench_step_batch(b: &Bench, m: usize) -> f64 {
     )
 }
 
+/// `step_batch` over one-sample frames: the `--batch 1` path, which
+/// takes the column kernel rather than a one-column wavefront.
+fn bench_step_batch1(b: &Bench, m: usize) -> f64 {
+    let (query, values) = fixtures(m);
+    let mut spring = Spring::new(&query, SpringConfig::new(100.0)).unwrap();
+    let mut out = Vec::new();
+    let frames: Vec<&[f64]> = values.chunks_exact(BATCH).collect();
+    let mut i = 0;
+    b.bench_elems(&format!("soa_batch1_m{m}"), (m * BATCH) as u64, || {
+        use spring_core::Monitor as _;
+        out.clear();
+        for x in black_box(frames[i % frames.len()]).chunks(1) {
+            spring.step_batch(x, &mut out).unwrap();
+        }
+        black_box(&out);
+        i += 1;
+    })
+}
+
+/// `Spring::step` once per sample over the same frames: the column
+/// kernel every per-sample caller runs.
+fn bench_column(b: &Bench, m: usize) -> f64 {
+    let (query, values) = fixtures(m);
+    let mut spring = Spring::new(&query, SpringConfig::new(100.0)).unwrap();
+    let frames: Vec<&[f64]> = values.chunks_exact(BATCH).collect();
+    let mut i = 0;
+    b.bench_elems(&format!("column_m{m}"), (m * BATCH) as u64, || {
+        for &x in black_box(frames[i % frames.len()]) {
+            black_box(spring.step(x));
+        }
+        i += 1;
+    })
+}
+
 /// The scalar reference loop over the same frames: the pre-SoA column.
 fn bench_reference(b: &Bench, m: usize) -> f64 {
     let (query, values) = fixtures(m);
@@ -71,11 +114,18 @@ fn main() {
     let mut lines = Vec::new();
     for m in [64usize, 256, 1_024] {
         let soa = bench_step_batch(&b, m);
+        let column = bench_column(&b, m);
+        if m <= 256 {
+            bench_step_batch1(&b, m);
+        }
         let reference = bench_reference(&b, m);
         lines.push(format!(
-            "kernel_throughput: m={m:<5} soa {:>10}/frame  reference {:>10}/frame  speedup {:.2}x",
+            "kernel_throughput: m={m:<5} soa {:>10}/frame  column {:>10}/frame  \
+             reference {:>10}/frame  speedup {:.2}x over column, {:.2}x over reference",
             fmt_time(soa),
+            fmt_time(column),
             fmt_time(reference),
+            column / soa,
             reference / soa
         ));
     }

@@ -267,6 +267,9 @@ fn flush_monitor_batch(
         trace.instant(TraceEventKind::Match, m.end);
     }
     if let Some(rec) = recorder.as_mut() {
+        if consumed > 0 {
+            rec.metrics().record_batch(consumed as usize);
+        }
         rec.record_frame(
             started,
             consumed,

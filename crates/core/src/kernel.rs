@@ -51,6 +51,8 @@
 //! hosted `miri` CI job runs the kernel tests under Miri to keep it
 //! UB-clean.
 
+use std::cell::RefCell;
+
 use spring_dtw::kernels::DistanceKernel;
 
 use crate::stwm::Step;
@@ -243,9 +245,36 @@ pub(crate) fn fill_column_with(
 /// latency chain even in scalar code).
 pub(crate) const FRAME_COLS: usize = 8;
 
+/// Narrowest chunk the wavefront pays off on. A frame of `w` columns
+/// pays a fixed cost — loading the incoming column into lane 0, the
+/// `2(w−1)` ramp diagonals, committing the last column back — that only
+/// enough columns amortize, so `step_batch` sends chunks narrower than
+/// this through the per-column kernel instead. Measured per width at
+/// m ∈ {16, 64, 256}: widths 1–3 lose to the column kernel at 8 of the
+/// 9 points (up to 2.0× per sample), width 4 breaks even at m ≥ 64
+/// (table in DESIGN.md §6g).
+pub(crate) const WAVEFRONT_MIN_COLS: usize = 4;
+
 /// Lane stride of one diagonal block: lane 0 carries the incoming
 /// previous column, lanes `1 ..= FRAME_COLS` the frame's sample columns.
 const DIAG_STRIDE: usize = FRAME_COLS + 1;
+
+thread_local! {
+    /// This thread's wavefront frame. A frame only holds data during
+    /// one `step_batch` chunk — [`crate::stwm::Stwm::commit_frame`]
+    /// copies its last column back into the monitor's rolling matrix —
+    /// so every monitor a thread steps shares one frame, sized to the
+    /// largest query that thread has seen, instead of each monitor
+    /// carrying (and every checkpoint fork copying) its own `O(m)` block.
+    static FRAME: RefCell<Frame> = const { RefCell::new(Frame::EMPTY) };
+}
+
+/// Runs `f` on this thread's shared wavefront frame (see [`FRAME`]).
+/// Frame users never call back into another monitor, so the borrow is
+/// never re-entered.
+pub(crate) fn with_frame<R>(f: impl FnOnce(&mut Frame) -> R) -> R {
+    FRAME.with(|frame| f(&mut frame.borrow_mut()))
+}
 
 /// A block of [`FRAME_COLS`] STWM columns filled as one unit.
 ///
@@ -284,7 +313,7 @@ const DIAG_STRIDE: usize = FRAME_COLS + 1;
 /// the scalar reference (`base + min⁻(left, down, diag)` with Eq. (8)
 /// tie-breaking), just in a different *schedule* — cell values depend
 /// only on predecessor cells, so the result is bit-identical.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub(crate) struct Frame {
     d: Vec<f64>,
     s: Vec<u64>,
@@ -301,19 +330,37 @@ pub(crate) struct Frame {
 }
 
 impl Frame {
+    /// A frame with no storage; [`fill_frame`] sizes it on first use.
+    const EMPTY: Frame = Frame {
+        d: Vec::new(),
+        s: Vec::new(),
+        m: 0,
+        w: 0,
+        tmp_pd: Vec::new(),
+        tmp_ps: Vec::new(),
+        tmp_cd: Vec::new(),
+        tmp_cs: Vec::new(),
+    };
+
     /// Flat index of (column `j`, row `i`).
     #[inline]
     fn at(&self, j: usize, i: usize) -> usize {
         (j + i) * DIAG_STRIDE + j
     }
 
-    /// (Re)sizes storage for query length `m` and marks `w` live
-    /// columns. Capacity covers [`FRAME_COLS`] columns regardless of
-    /// `w`, so ragged final chunks never reallocate.
+    /// Sizes storage for query length `m` and marks `w` live columns.
+    /// Diagonal storage only grows: a frame shared by monitors of
+    /// different `m` keeps the largest block. Live cells (rows `≤ m`)
+    /// only read live cells written earlier in the same fill, so what a
+    /// longer query left past row `m` never reaches a result. Capacity
+    /// covers [`FRAME_COLS`] columns regardless of `w`, so ragged final
+    /// chunks never reallocate. The row-order temps must be exactly
+    /// `m + 1` long; resizing them within their capacity does not
+    /// allocate.
     fn ensure(&mut self, m: usize, w: usize) {
         debug_assert!((1..=FRAME_COLS).contains(&w));
         let need = (m + FRAME_COLS + 1) * DIAG_STRIDE;
-        if self.d.len() != need {
+        if self.d.len() < need {
             self.d.resize(need, f64::INFINITY);
             self.s.resize(need, 0);
         }
@@ -395,14 +442,6 @@ impl Frame {
         let mut s = vec![0u64; self.m + 1];
         self.copy_col(j, &mut d, &mut s);
         (d, s)
-    }
-
-    /// Heap bytes held by the frame (for `MemoryUse`).
-    pub(crate) fn bytes(&self) -> usize {
-        self.d.capacity() * std::mem::size_of::<f64>()
-            + self.s.capacity() * std::mem::size_of::<u64>()
-            + (self.tmp_pd.capacity() + self.tmp_cd.capacity()) * std::mem::size_of::<f64>()
-            + (self.tmp_ps.capacity() + self.tmp_cs.capacity()) * std::mem::size_of::<u64>()
     }
 }
 
@@ -1071,7 +1110,7 @@ mod tests {
                 let mut rs_cur = vec![0u64; m + 1];
                 let mut fd_prev = rd_prev.clone();
                 let mut fs_prev = rs_prev.clone();
-                let mut frame = Frame::default();
+                let mut frame = Frame::EMPTY;
                 let mut t0 = 0u64;
                 for chunk in stream.chunks(w) {
                     let qrev: Vec<f64> = query.iter().rev().copied().collect();
@@ -1118,7 +1157,7 @@ mod tests {
         let xs = [1.9, 5.1, 0.8, 4.2, 3.3, 2.1];
         let d_prev = vec![f64::INFINITY; m + 1];
         let s_prev = vec![0u64; m + 1];
-        let mut frame = Frame::default();
+        let mut frame = Frame::EMPTY;
         let qrev: Vec<f64> = query.iter().rev().copied().collect();
         fill_frame(Squared, &query, &qrev, &xs, 0, &d_prev, &s_prev, &mut frame);
         let cut = 3;
@@ -1171,7 +1210,7 @@ mod tests {
         let xs = [0.9, 3.2, 1.1, 2.8];
         let d_prev = vec![f64::INFINITY; 3];
         let s_prev = vec![0u64; 3];
-        let mut frame = Frame::default();
+        let mut frame = Frame::EMPTY;
         let qrev: Vec<f64> = query.iter().rev().copied().collect();
         fill_frame(Squared, &query, &qrev, &xs, 0, &d_prev, &s_prev, &mut frame);
         for j in 1..=4 {

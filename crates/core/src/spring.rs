@@ -96,9 +96,6 @@ pub struct Spring<K: DistanceKernel = Squared> {
     policy: DisjointPolicy,
     /// Total matches reported (monitoring statistic).
     reported: u64,
-    /// Wavefront frame for `step_batch`; empty until the first batch,
-    /// then a fixed `O(m)` block reused for every frame.
-    frame: Frame,
     /// Query generation this monitor was built against (bumped by the
     /// fleet-wide hot-swap path; recorded in checkpoints so replay can
     /// tell pre- from post-swap state).
@@ -124,7 +121,6 @@ impl<K: DistanceKernel> Spring<K> {
             stwm: Stwm::with_kernel(query, kernel)?,
             policy: DisjointPolicy::new(config.epsilon),
             reported: 0,
-            frame: Frame::default(),
             generation: 0,
         })
     }
@@ -146,7 +142,6 @@ impl<K: DistanceKernel> Spring<K> {
             stwm: Stwm::with_query_ref(query, kernel)?,
             policy: DisjointPolicy::new(config.epsilon),
             reported: 0,
-            frame: Frame::default(),
             generation: 0,
         })
     }
@@ -264,33 +259,29 @@ impl<K: DistanceKernel> Spring<K> {
     }
 
     /// Ingests one frame of finite samples (`1 ..= FRAME_COLS`): fills
-    /// all columns with the wavefront kernel, then replays the
+    /// all columns of this thread's wavefront frame, then replays the
     /// capture/confirm policy over the stored columns in tick order. A
     /// report invalidates its column, so the (rare) tail after a report
     /// is recomputed with the per-column kernel before the walk
     /// continues. Bit-identical to calling [`Spring::step`] per sample.
     fn step_frame(&mut self, xs: &[f64], out: &mut Vec<Match>) {
-        let t0 = self.stwm.tick();
-        self.stwm.fill_frame(xs, &mut self.frame);
-        let w = xs.len();
-        for j in 1..=w {
-            let t = t0 + j as u64;
-            let report = self.policy.step(
-                t,
-                &mut FrameOps {
-                    frame: &mut self.frame,
-                    j,
-                },
-            );
-            if let Some(m) = report {
-                self.reported += 1;
-                out.push(m);
-                if j < w {
-                    self.stwm.refill_frame_tail(xs, &mut self.frame, j + 1);
+        kernel::with_frame(|frame| {
+            let t0 = self.stwm.tick();
+            self.stwm.fill_frame(xs, frame);
+            let w = xs.len();
+            for j in 1..=w {
+                let t = t0 + j as u64;
+                let report = self.policy.step(t, &mut FrameOps { frame, j });
+                if let Some(m) = report {
+                    self.reported += 1;
+                    out.push(m);
+                    if j < w {
+                        self.stwm.refill_frame_tail(xs, frame, j + 1);
+                    }
                 }
             }
-        }
-        self.stwm.commit_frame(&self.frame);
+            self.stwm.commit_frame(frame);
+        });
     }
 
     /// Declares the end of the stream: reports the still-pending group
@@ -304,7 +295,7 @@ impl<K: DistanceKernel> Spring<K> {
 
 impl<K: DistanceKernel> MemoryUse for Spring<K> {
     fn bytes_used(&self) -> usize {
-        self.stwm.bytes_used() + self.frame.bytes()
+        self.stwm.bytes_used()
     }
 }
 
@@ -323,10 +314,12 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
     /// `kernel::FRAME_COLS` (8) columns via the anti-diagonal wavefront
     /// kernel, which pipelines up to a frame's worth of independent
     /// min/add chains instead of serializing on one column's — see
-    /// `crate::kernel::Frame`. Bit-identical to per-sample stepping
-    /// (same matches, same column bits). Matches append to the
-    /// caller-owned `out`; after the first batch the steady state
-    /// allocates nothing.
+    /// `crate::kernel::Frame`. Chunks narrower than
+    /// `kernel::WAVEFRONT_MIN_COLS` cannot amortize the frame's fixed
+    /// cost and take the per-column kernel instead. Bit-identical to
+    /// per-sample stepping (same matches, same column bits). Matches
+    /// append to the caller-owned `out`; after the first batch the
+    /// steady state allocates nothing.
     fn step_batch(&mut self, samples: &[f64], out: &mut Vec<Match>) -> Result<(), SpringError> {
         for chunk in samples.chunks(kernel::FRAME_COLS) {
             // The error contract consumes every sample before the first
@@ -334,8 +327,12 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
             // valid prefix.
             let bad = chunk.iter().position(|x| !x.is_finite());
             let valid = &chunk[..bad.unwrap_or(chunk.len())];
-            if !valid.is_empty() {
+            if valid.len() >= kernel::WAVEFRONT_MIN_COLS {
                 self.step_frame(valid, out);
+            } else {
+                for &x in valid {
+                    out.extend(Spring::step(self, x));
+                }
             }
             if bad.is_some() {
                 return Err(SpringError::NonFiniteInput {
@@ -367,10 +364,11 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
     }
 
     fn memory_cells(&self) -> usize {
-        // Per-attachment cells only: DP columns + scratch + frame. The
-        // shared pattern is reported once per query through
-        // `shared_memory_cells`, not once per attachment.
-        self.stwm.attachment_cells() + self.frame.bytes() / std::mem::size_of::<f64>()
+        // Per-attachment cells only: DP columns + scratch (the wavefront
+        // frame is per thread, not per monitor). The shared pattern is
+        // reported once per query through `shared_memory_cells`, not
+        // once per attachment.
+        self.stwm.attachment_cells()
     }
 
     fn shared_memory_cells(&self) -> usize {
@@ -624,6 +622,49 @@ mod tests {
                 "batch={batch}: final distance column diverges"
             );
             assert_eq!(a.stwm().starts(), b.stwm().starts(), "batch={batch}");
+        }
+    }
+
+    #[test]
+    fn monitors_of_different_lengths_share_one_thread_frame_bit_exactly() {
+        // Interleave batches of a long, a short and a mid-length query
+        // on one thread: each fill reuses the frame the previous monitor
+        // left behind (larger or smaller), which must not leak into any
+        // result. Widths cover the column route (< WAVEFRONT_MIN_COLS),
+        // full frames and ragged tails.
+        use crate::monitor::Monitor as _;
+        let stream: Vec<f64> = (0..600)
+            .map(|t| (t as f64 * 0.37).sin() * 4.0 + if t % 50 < 3 { 6.0 } else { 0.0 })
+            .collect();
+        let queries: Vec<Vec<f64>> = [40usize, 3, 17]
+            .iter()
+            .map(|&m| (0..m).map(|i| (i as f64 * 0.37).sin() * 4.0).collect())
+            .collect();
+        for batch in [1usize, 3, 4, 7, 8, 9, 64] {
+            let mut per_sample: Vec<Spring> = queries
+                .iter()
+                .map(|q| Spring::new(q, SpringConfig::new(3.0)).unwrap())
+                .collect();
+            let mut batched = per_sample.clone();
+            let mut expect = vec![Vec::new(); queries.len()];
+            let mut got = vec![Vec::new(); queries.len()];
+            for chunk in stream.chunks(batch) {
+                for (k, (a, b)) in per_sample.iter_mut().zip(&mut batched).enumerate() {
+                    for &x in chunk {
+                        expect[k].extend(a.step(x));
+                    }
+                    b.step_batch(chunk, &mut got[k]).unwrap();
+                }
+            }
+            for (k, (a, b)) in per_sample.iter().zip(&batched).enumerate() {
+                assert!(expect[k].len() > 1, "query {k} reports mid-stream");
+                assert_eq!(got[k], expect[k], "batch={batch} query={k}");
+                let bits = |s: &Spring| -> Vec<u64> {
+                    s.stwm().distances().iter().map(|d| d.to_bits()).collect()
+                };
+                assert_eq!(bits(a), bits(b), "batch={batch} query={k}");
+                assert_eq!(a.stwm().starts(), b.stwm().starts(), "batch={batch}");
+            }
         }
     }
 

@@ -13,10 +13,14 @@
 //!   vector streams (paper Sec. 5.3).
 //!
 //! Missing samples (any sample `M::is_missing` reports true, e.g. NaN)
-//! are handled per attachment via a [`GapPolicy`]. The per-tick gap
-//! handling and tick bookkeeping live in one shared code path
-//! (`Attachment::ingest`) used by both this engine and the threaded
-//! [`crate::Runner`].
+//! are handled per attachment via a [`GapPolicy`]. The gap handling and
+//! tick bookkeeping live in two shared code paths used by both this
+//! engine and the threaded [`crate::Runner`]: `Attachment::ingest` for
+//! one sample and `Attachment::ingest_frame` for a whole frame, which
+//! runs each run of present samples through one
+//! [`Monitor::step_batch`] call. Frames are stepped attachment-major
+//! and the events merged back into sample-major order (see
+//! [`Engine::push_batch`]).
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -176,6 +180,50 @@ pub(crate) fn validate_query_samples<M: Monitor>(samples: &[Owned<M>]) -> Result
     Ok(())
 }
 
+/// Length of the prefix of a frame to step attachment-major: every
+/// sample before the first one some attachment would reject
+/// ([`Attachment::rejects`]) or whose width differs from the stream's
+/// pinned `channels`. The rejected tick itself must go through the
+/// per-sample path so the error, its tick and its dropped events stay
+/// exact. A one-sample prefix is returned as 0: a lone sample gains
+/// nothing from the frame path (its run of one takes the column kernel
+/// either way) and the per-sample path is cheaper.
+pub(crate) fn frame_prefix<'a, M: Monitor + 'a>(
+    samples: &[Owned<M>],
+    attachments: impl Iterator<Item = &'a Attachment<M>> + Clone,
+    channels: Option<usize>,
+) -> usize {
+    let can_reject = attachments.clone().any(Attachment::can_reject);
+    let clean = if !can_reject && channels.is_none() {
+        samples.len()
+    } else {
+        samples
+            .iter()
+            .position(|s| {
+                let s: &M::Sample = s.borrow();
+                channels.is_some_and(|c| M::sample_dim(s) != c)
+                    || (can_reject && attachments.clone().any(|a| a.rejects(s)))
+            })
+            .unwrap_or(samples.len())
+    };
+    if clean > 1 {
+        clean
+    } else {
+        0
+    }
+}
+
+/// Restores sample-major order over the events every attachment of a
+/// stream produced for one frame ([`Attachment::ingest_frame`] keys)
+/// and drains them. Unstable sorting is exact: no two events share a
+/// key, since a monitor confirms at most one match per tick.
+pub(crate) fn drain_in_tick_order(
+    events: &mut Vec<(u64, Event)>,
+) -> impl Iterator<Item = Event> + '_ {
+    events.sort_unstable_by_key(|&(key, _)| key);
+    events.drain(..).map(|(_, event)| event)
+}
+
 /// One (stream, query) attachment: a monitor plus its gap handling.
 ///
 /// This is the code path shared by [`Engine::push`] and the
@@ -300,6 +348,126 @@ impl<M: Monitor> Attachment<M> {
         Ok(event)
     }
 
+    /// Whether [`Attachment::ingest`] can fail on some sample: a
+    /// [`GapPolicy::Fail`] attachment, or a monitor that checks the
+    /// sample width. Lets frame callers skip the pre-scan entirely.
+    pub(crate) fn can_reject(&self) -> bool {
+        self.gap_policy == GapPolicy::Fail || self.monitor.channels().is_some()
+    }
+
+    /// Whether [`Attachment::ingest`] would fail on `sample`: a missing
+    /// sample under [`GapPolicy::Fail`], or a present sample of the
+    /// wrong width. These are the only sample-dependent errors of the
+    /// monitors, so a frame prefix no attachment rejects is safe to
+    /// step attachment-major.
+    pub(crate) fn rejects(&self, sample: &M::Sample) -> bool {
+        if M::is_missing(sample) {
+            self.gap_policy == GapPolicy::Fail
+        } else {
+            self.monitor
+                .channels()
+                .is_some_and(|c| M::sample_dim(sample) != c)
+        }
+    }
+
+    /// Consumes a whole frame: [`Attachment::ingest`] on every sample,
+    /// but each maximal run of present samples goes through one
+    /// [`Monitor::step_batch`] call, and the frame feeds the metrics
+    /// recorder once ([`TickRecorder::record_frame`]).
+    ///
+    /// Each event lands in `events` keyed by its sample-major position:
+    /// its offset in the frame in the high 32 bits, `order` (this
+    /// attachment's position on the stream) in the low 32. Sorting the
+    /// keys of every attachment's events restores the order a
+    /// per-sample loop emits. `hits` is caller-owned match scratch.
+    ///
+    /// Callers cut frames at samples this attachment
+    /// [`rejects`](Attachment::rejects) and feed those ticks through
+    /// [`Attachment::ingest`], which keeps per-sample error semantics.
+    pub(crate) fn ingest_frame(
+        &mut self,
+        samples: &[Owned<M>],
+        order: usize,
+        hits: &mut Vec<Match>,
+        events: &mut Vec<(u64, Event)>,
+    ) -> Result<(), MonitorError> {
+        crate::fail_point!(
+            "attachment::ingest",
+            MonitorError::Injected("attachment::ingest")
+        );
+        let key = |offset: usize| ((offset as u64) << 32) | order as u64;
+        let started = self
+            .recorder
+            .as_mut()
+            .and_then(|rec| rec.begin_frame(samples.len()));
+        hits.clear();
+        let mut missing = 0u64;
+        let mut failed_at = None;
+        let mut at = 0;
+        while at < samples.len() {
+            let sample: &M::Sample = samples[at].borrow();
+            if M::is_missing(sample) {
+                missing += 1;
+                match self.gap_policy {
+                    GapPolicy::Skip => {}
+                    GapPolicy::CarryForward => {
+                        if let Some(last) = &self.last_observed {
+                            if let Some(m) = self.monitor.step(last.borrow())? {
+                                hits.push(m);
+                                events.push((key(at), self.event(m)));
+                            }
+                        }
+                    }
+                    GapPolicy::Fail => {
+                        failed_at = Some(at);
+                        break;
+                    }
+                }
+                at += 1;
+                continue;
+            }
+            let len = samples[at..]
+                .iter()
+                .position(|s| M::is_missing(s.borrow()))
+                .unwrap_or(samples.len() - at);
+            let run = &samples[at..at + len];
+            // Monitor ticks only count stepped samples (a skipped gap
+            // does not advance them), so an event's offset in the frame
+            // comes from how far into the run the monitor reported.
+            let tick_before = self.monitor.tick();
+            let first = hits.len();
+            self.monitor.step_batch(run, hits)?;
+            for &m in &hits[first..] {
+                debug_assert!(m.reported_at > tick_before);
+                let offset = at + (m.reported_at - tick_before) as usize - 1;
+                events.push((key(offset), self.event(m)));
+            }
+            if self.gap_policy == GapPolicy::CarryForward {
+                let last: &M::Sample = run[len - 1].borrow();
+                match &mut self.last_observed {
+                    Some(kept) => last.clone_into(kept),
+                    None => self.last_observed = Some(last.to_owned()),
+                }
+            }
+            at += len;
+        }
+        let consumed = failed_at.map_or(samples.len(), |at| at + 1) as u64;
+        self.ticks += consumed;
+        let monitor = &self.monitor;
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.record_frame(started, consumed, missing, hits, || {
+                (monitor.memory_use(), monitor.memory_cells())
+            });
+        }
+        match failed_at {
+            Some(_) => Err(MonitorError::MissingSample {
+                stream: self.stream,
+                tick: self.ticks,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// An independent copy of this attachment's monitoring state: same
     /// monitor, gap state, and tick counter, but a *fresh* metrics
     /// recorder (so live-memory gauge shares are not double-released).
@@ -408,6 +576,11 @@ pub struct Engine<M: Monitor> {
     /// Flight-recorder hook (see [`Engine::set_tracer`]); the default
     /// [`TraceHandle::off`] keeps ingestion trace-free.
     trace: TraceHandle,
+    /// [`Engine::push_batch`] scratch: one attachment's matches in a
+    /// frame, and the frame's events awaiting the sample-major merge.
+    /// Reused across frames, so the steady state allocates nothing.
+    frame_hits: Vec<Match>,
+    frame_events: Vec<(u64, Event)>,
 }
 
 /// Engine over the paper's plain disjoint-query monitor.
@@ -434,6 +607,8 @@ impl<M: Monitor> Default for Engine<M> {
             arena: Arc::new(QueryArena::new()),
             metrics: None,
             trace: TraceHandle::off(),
+            frame_hits: Vec::new(),
+            frame_events: Vec::new(),
         }
     }
 }
@@ -766,16 +941,24 @@ impl<M: Monitor> Engine<M> {
     /// confirmed event to the caller-owned `out` in tick order.
     ///
     /// Semantically identical to calling [`Engine::push`] once per
-    /// sample, but the dispatch cost is paid per *batch*: the stream
-    /// state and attachment indices are resolved once, the channel width
-    /// is hoisted, and matches are written into `out` — the steady state
-    /// performs zero per-tick heap allocations.
+    /// sample — same events in the same order — but stepped
+    /// *attachment-major*: each attachment ingests the whole frame
+    /// ([`Monitor::step_batch`] per run of present samples, so the
+    /// wavefront kernel does the work), and the events are merged back
+    /// into sample-major order (frame offset, then attachment order)
+    /// before trace instants and `out` see them. The steady state
+    /// performs zero heap allocations.
     ///
     /// # Errors
     /// On the first failing sample the error is returned immediately.
     /// Earlier samples of the frame are fully consumed (their events are
     /// in `out`); events from the failing tick itself are discarded —
-    /// exactly the state a per-sample `push` loop would leave behind.
+    /// exactly the state a per-sample `push` loop would leave behind. A
+    /// pre-scan finds that tick (a wrong-width sample, or a missing one
+    /// on a [`GapPolicy::Fail`] attachment); only the prefix before it
+    /// is stepped attachment-major, and the tick itself runs through
+    /// the per-sample path — as does a frame (or prefix) of a single
+    /// sample, which the frame path cannot speed up.
     pub fn push_batch(
         &mut self,
         stream: StreamId,
@@ -788,6 +971,8 @@ impl<M: Monitor> Engine<M> {
             by_stream,
             metrics,
             trace,
+            frame_hits,
+            frame_events,
             ..
         } = self;
         let state = streams
@@ -801,7 +986,24 @@ impl<M: Monitor> Engine<M> {
         let frame = trace.now();
         let indices: &[usize] = by_stream.get(&stream).map_or(&[], Vec::as_slice);
         let expected = state.channels;
-        for sample in samples {
+        let mut rest = samples;
+        while !rest.is_empty() {
+            let stop = frame_prefix(rest, indices.iter().map(|&i| &attachments[i]), expected);
+            let (clean, tail) = rest.split_at(stop);
+            if !clean.is_empty() {
+                state.ticks += clean.len() as u64;
+                frame_events.clear();
+                for (order, &idx) in indices.iter().enumerate() {
+                    attachments[idx].ingest_frame(clean, order, frame_hits, frame_events)?;
+                }
+                for ev in drain_in_tick_order(frame_events) {
+                    trace.instant(TraceKind::Match, ev.m.end);
+                    out.push(ev);
+                }
+            }
+            let Some((sample, after)) = tail.split_first() else {
+                break;
+            };
             let sample: &M::Sample = sample.borrow();
             if let Some(expected) = expected {
                 let found = M::sample_dim(sample);
@@ -829,6 +1031,7 @@ impl<M: Monitor> Engine<M> {
                     }
                 }
             }
+            rest = after;
         }
         trace.span(frame, TraceKind::Frame, samples.len() as u64);
         Ok(())
@@ -1165,16 +1368,34 @@ mod tests {
 
     #[test]
     fn memory_is_constant_per_attachment_over_time() {
-        let mut e = SpringEngine::new();
-        let s = e.add_stream("s");
-        let q = e.add_query("q", vec![0.5; 64]).unwrap();
-        e.attach(s, q, 1.0, GapPolicy::Skip).unwrap();
-        e.push(s, &0.0).unwrap();
-        let before = e.bytes_used();
-        for t in 0..10_000 {
-            e.push(s, &((t as f64 * 0.1).sin())).unwrap();
+        // Per-sample and framed ingestion hold the same state: the
+        // wavefront frame `push_batch` steps through is per thread, not
+        // per attachment, so frames of 64 must not grow any monitor.
+        let build = || {
+            let mut e = SpringEngine::new();
+            let s = e.add_stream("s");
+            let q = e.add_query("q", vec![0.5; 64]).unwrap();
+            e.attach(s, q, 1.0, GapPolicy::Skip).unwrap();
+            e.attach(s, q, 1.0, GapPolicy::CarryForward).unwrap();
+            (e, s)
+        };
+        let stream: Vec<f64> = (0..10_000).map(|t| (t as f64 * 0.1).sin()).collect();
+        let (mut per_sample, s) = build();
+        per_sample.push(s, &0.0).unwrap();
+        let before = per_sample.bytes_used();
+        for x in &stream {
+            per_sample.push(s, x).unwrap();
         }
-        assert_eq!(e.bytes_used(), before);
+        assert_eq!(per_sample.bytes_used(), before);
+        let (mut framed, s) = build();
+        let mut out = Vec::new();
+        framed.push_batch(s, &[0.0], &mut out).unwrap();
+        assert_eq!(framed.bytes_used(), before);
+        for frame in stream.chunks(64) {
+            framed.push_batch(s, frame, &mut out).unwrap();
+        }
+        assert_eq!(framed.bytes_used(), before);
+        assert_eq!(framed.stream_ticks(s), per_sample.stream_ticks(s));
     }
 
     // ---- batched ingestion ---------------------------------------------

@@ -25,7 +25,7 @@
 //! | `spring_ticks_total` | counter | samples | attachment-ticks ingested |
 //! | `spring_matches_total` | counter | matches | confirmed matches (incl. end-of-stream flushes) |
 //! | `spring_missing_samples_total` | counter | samples | NaN/non-finite readings seen |
-//! | `spring_tick_latency_seconds` | histogram | seconds | per-attachment `step` latency (sampled 1/64) |
+//! | `spring_tick_latency_seconds` | histogram | seconds | per-attachment latency per tick: one tick's `step`, or the mean per tick of a frame (sampled ~1/64 ticks) |
 //! | `spring_detection_delay_ticks` | histogram | ticks | `t_confirm − t_e` per match (paper "output time") |
 //! | `spring_memory_bytes` | gauge | bytes | live algorithmic state across monitors |
 //! | `spring_memory_cells` | gauge | cells | live DTW cells — the `O(m)` quantity of Theorem 2 |
@@ -324,7 +324,8 @@ pub struct Metrics {
     /// Latest query generation published by a hot-swap
     /// (`spring_query_generation`).
     pub query_generation: Gauge,
-    /// Sampled per-attachment step latency
+    /// Sampled per-attachment latency per tick: one tick's step, or
+    /// the mean per tick of a sampled frame
     /// (`spring_tick_latency_seconds`).
     pub tick_latency: Histogram,
     /// Per-match `reported_at − end` (`spring_detection_delay_ticks`).
@@ -735,7 +736,7 @@ impl MetricsSnapshot {
         };
         histogram(
             "spring_tick_latency_seconds",
-            "Per-attachment step latency, sampled 1-in-64 ticks.",
+            "Per-attachment step latency per tick (the mean per tick of a frame on the batched path), sampled about 1-in-64 ticks.",
             &self.tick_latency,
         );
         histogram(
@@ -994,13 +995,16 @@ impl TickRecorder {
     }
 
     /// Batch counterpart of [`TickRecorder::end_tick`]: counts `ticks`
-    /// ingested ticks (of which `missing` were gap-filled), records the
-    /// frame's size and every confirmed match in `hits`, and — on
-    /// sampled frames — observes the mean per-tick latency and refreshes
-    /// the live memory gauges from `memory` (`(bytes, cells)`).
+    /// ingested ticks (of which `missing` were gap-filled), records
+    /// every confirmed match in `hits`, and — on sampled frames —
+    /// observes the mean per-tick latency and refreshes the live memory
+    /// gauges from `memory` (`(bytes, cells)`).
     ///
     /// Counter totals are exactly those of an [`TickRecorder::end_tick`]
     /// loop over the same ticks, so `--stats` output is batch-invariant.
+    /// The frame's size is *not* observed here: one frame feeds every
+    /// attachment of its stream, so the caller records it once with
+    /// [`Metrics::record_batch`].
     #[inline]
     pub fn record_frame(
         &mut self,
@@ -1013,9 +1017,6 @@ impl TickRecorder {
         let m = &self.metrics;
         m.ticks.add(ticks);
         m.missing.add(missing);
-        if ticks > 0 {
-            m.record_batch(ticks as usize);
-        }
         for hit in hits {
             m.record_match(hit);
         }

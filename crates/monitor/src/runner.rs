@@ -30,7 +30,9 @@
 //! janitor thread flushes partial frames older than the configured
 //! linger, bounding match latency on slow streams. Checkpoints, the
 //! replay log, and at-least-once redelivery all operate at frame
-//! granularity.
+//! granularity. A worker steps each frame attachment-major, exactly as
+//! [`crate::Engine::push_batch`] does, so the sink sees the events of
+//! one worker in per-sample order.
 //!
 //! # Dynamic attachments
 //!
@@ -87,8 +89,8 @@ use std::time::{Duration, Instant};
 use spring_core::monitor::Monitor;
 
 use crate::engine::{
-    validate_query_samples, Attachment, AttachmentBuilder, AttachmentId, GapPolicy, MonitorError,
-    Owned, QueryId, StreamId,
+    drain_in_tick_order, frame_prefix, validate_query_samples, Attachment, AttachmentBuilder,
+    AttachmentId, GapPolicy, MonitorError, Owned, QueryId, StreamId,
 };
 use crate::metrics::{Metrics, ShardMetrics, WorkerMetrics};
 use crate::sink::MatchSink;
@@ -523,6 +525,10 @@ where
         // Messages applied by this incarnation, continuing the absolute
         // count from the checkpoint the shard was forked at.
         let mut applied = ctx.shared.applied.load(Ordering::Acquire);
+        // Frame scratch (see `Attachment::ingest_frame`), reused across
+        // frames so the steady state allocates nothing.
+        let mut hits = Vec::new();
+        let mut frame_events = Vec::new();
         'recv: for msg in rx {
             crate::fail_point!("runner::worker::recv");
             // Shutdown messages are not routed (and not counted into the
@@ -541,9 +547,41 @@ where
                     let frame_span = ctx.trace.now();
                     let mut processed = 0u64;
                     let mut failed = false;
-                    // Sample-major, like the Engine: each tick runs
-                    // through every attachment before the next tick.
-                    'frame: for value in &samples {
+                    // Attachment-major, like `Engine::push_batch`: every
+                    // attachment of the stream ingests the clean prefix
+                    // of the frame (runs of present samples through one
+                    // `step_batch`), then the events are merged back into
+                    // sample-major order before the sink sees them. A
+                    // tick some attachment rejects (and a lone sample)
+                    // runs sample-major through `ingest`, exactly as a
+                    // per-sample loop.
+                    let mut rest = &samples[..];
+                    'frame: while !rest.is_empty() {
+                        let mine = shard.iter().filter(|a| a.stream == stream);
+                        let (clean, tail) = rest.split_at(frame_prefix(rest, mine, None));
+                        if !clean.is_empty() {
+                            frame_events.clear();
+                            let mine = shard.iter_mut().filter(|a| a.stream == stream);
+                            for (order, att) in mine.enumerate() {
+                                if let Err(e) =
+                                    att.ingest_frame(clean, order, &mut hits, &mut frame_events)
+                                {
+                                    record_error(&ctx.error, e);
+                                    ctx.shared.failed.store(true, Ordering::Release);
+                                    failed = true;
+                                    break 'frame;
+                                }
+                            }
+                            processed += clean.len() as u64;
+                            for event in drain_in_tick_order(&mut frame_events) {
+                                crate::fail_point!("runner::sink");
+                                ctx.trace.instant(TraceKind::Match, event.m.end);
+                                ctx.sink.on_match(&event);
+                            }
+                        }
+                        let Some((value, after)) = tail.split_first() else {
+                            break;
+                        };
                         processed += 1;
                         for att in shard.iter_mut().filter(|a| a.stream == stream) {
                             match att.ingest(std::borrow::Borrow::borrow(value)) {
@@ -565,6 +603,7 @@ where
                                 }
                             }
                         }
+                        rest = after;
                     }
                     ctx.trace.span(frame_span, TraceKind::Frame, processed);
                     if let Some(wm) = &ctx.wm {

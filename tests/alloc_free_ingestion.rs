@@ -126,4 +126,51 @@ fn steady_state_push_and_push_batch_do_not_allocate() {
         per_sample, 0,
         "Engine::push allocated {per_sample} times over 256 steady-state ticks"
     );
+
+    frames_with_gaps_and_reports_do_not_allocate();
+}
+
+/// The attachment-major frame path with everything it can do in the
+/// steady state: several attachments on one stream, Skip and
+/// CarryForward gaps, and matches confirmed mid-frame, which pass
+/// through the engine's event-merge buffer into the caller's `out`.
+/// Every frame is the same, so warm-up sizes every buffer for good.
+fn frames_with_gaps_and_reports_do_not_allocate() {
+    let mut engine = SpringEngine::new();
+    let stream = engine.add_stream("gappy");
+    let spike = engine.add_query("spike", vec![0.0, 10.0, 0.0]).unwrap();
+    let dip = engine.add_query("dip", vec![50.0, 45.0, 50.0]).unwrap();
+    engine.attach(stream, spike, 1.0, GapPolicy::Skip).unwrap();
+    engine
+        .attach(stream, spike, 1.0, GapPolicy::CarryForward)
+        .unwrap();
+    engine
+        .attach(stream, dip, 1.0, GapPolicy::CarryForward)
+        .unwrap();
+    let mut frame = vec![50.0f64; 64];
+    frame[20..23].copy_from_slice(&[0.0, 10.0, 0.0]);
+    frame[10] = f64::NAN;
+    frame[41] = f64::NAN;
+    let mut out: Vec<Event> = Vec::with_capacity(16);
+    for _ in 0..8 {
+        out.clear();
+        engine.push_batch(stream, &frame, &mut out).unwrap();
+    }
+    // Both spike attachments confirm at the quiet tick after the
+    // pattern, mid-frame: the merge has real work on every frame.
+    assert_eq!(out.len(), 2, "one report per spike attachment per frame");
+    let mut framed = u64::MAX;
+    for _pass in 0..2 {
+        let before = allocations();
+        for _ in 0..64 {
+            out.clear();
+            engine.push_batch(stream, &frame, &mut out).unwrap();
+            assert_eq!(out.len(), 2);
+        }
+        framed = allocations() - before;
+    }
+    assert_eq!(
+        framed, 0,
+        "Engine::push_batch allocated {framed} times over 64 frames with gaps and reports"
+    );
 }
